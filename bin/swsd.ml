@@ -97,7 +97,7 @@ let cmd_decompose arg =
 
 let cmd_show arg concept_id =
   with_session arg (fun session ->
-      match Core.Decompose.find (Core.Session.concepts session) concept_id with
+      match Core.Session.find_concept session concept_id with
       | None ->
           prerr_endline ("no concept schema named " ^ concept_id);
           1
@@ -237,7 +237,7 @@ let cmd_diff arg_a arg_b =
 
 let cmd_explain arg concept_id =
   with_session arg (fun session ->
-      match Core.Decompose.find (Core.Session.concepts session) concept_id with
+      match Core.Session.find_concept session concept_id with
       | None ->
           prerr_endline ("no concept schema named " ^ concept_id);
           1
@@ -288,9 +288,7 @@ let cmd_graph arg concept =
       0)
   | Some concept_id ->
       with_session arg (fun session ->
-          match
-            Core.Decompose.find (Core.Session.concepts session) concept_id
-          with
+          match Core.Session.find_concept session concept_id with
           | None ->
               prerr_endline ("no concept schema named " ^ concept_id);
               1

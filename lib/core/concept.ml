@@ -44,6 +44,11 @@ let id_prefix = function
   | Aggregation -> "ah"
   | Instance_chain -> "ih"
 
+let kinds = [ Wagon_wheel; Generalization; Aggregation; Instance_chain ]
+
+let kind_of_id_prefix p =
+  List.find_opt (fun k -> String.equal (id_prefix k) p) kinds
+
 let make kind focus members edges =
   {
     c_kind = kind;

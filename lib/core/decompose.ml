@@ -11,6 +11,7 @@
     property). *)
 
 open Odl.Types
+module SSet = Set.Make (String)
 
 module Make (V : Schema_view.S) = struct
   (** The wagon wheel centred on [focus]: the focal interface, every
@@ -41,22 +42,23 @@ module Make (V : Schema_view.S) = struct
   let wagon_wheels v =
     List.map (fun i -> wagon_wheel v i.i_name) (V.schema v).s_interfaces
 
-  (* Reachable closure with an explicit edge accumulator. *)
+  (* Reachable closure with an explicit edge accumulator; the visited set
+     keeps it O(members · log members) beyond the edge lookups. *)
   let reach children_edges start =
-    let rec go members edges = function
+    let rec go seen members edges = function
       | [] -> (List.rev members, List.rev edges)
       | n :: rest ->
-          if List.mem n members then go members edges rest
+          if SSet.mem n seen then go seen members edges rest
           else
             let es = children_edges n in
             let nexts = List.map (fun (_, _, target) -> target) es in
-            go (n :: members)
+            go (SSet.add n seen) (n :: members)
               (List.rev_append
                  (List.map (fun (owner, path, _) -> (owner, path)) es)
                  edges)
               (nexts @ rest)
     in
-    let members, edges = go [] [] [ start ] in
+    let members, edges = go SSet.empty [] [] [ start ] in
     (members, List.rev edges)
 
   (** The generalization hierarchy rooted at [root]: the root and all its
@@ -66,12 +68,16 @@ module Make (V : Schema_view.S) = struct
     let members = root :: V.descendants v root in
     Concept.make Generalization root members []
 
+  let has_subtypes v n = V.direct_subtypes v n <> []
+
   (** One generalization-hierarchy concept schema per ISA root that actually
       has subtypes (a lone interface is not a hierarchy). *)
   let generalization_hierarchies v =
     V.isa_roots v
-    |> List.filter (fun r -> V.direct_subtypes v r <> [])
+    |> List.filter (has_subtypes v)
     |> List.map (generalization_hierarchy v)
+
+  let is_generalization_root v n = V.is_isa_root v n && has_subtypes v n
 
   let whole_part_edges v name =
     match V.find_interface v name with
@@ -88,13 +94,14 @@ module Make (V : Schema_view.S) = struct
 
   (** Roots of aggregation hierarchies: interfaces that aggregate parts but
       are not themselves a part of anything. *)
+  let is_aggregation_root v n =
+    whole_part_edges v n <> []
+    && not
+         (V.relationships_targeting v n
+         |> List.exists (fun (_, r) -> role_of_relationship r = Whole_end))
+
   let aggregation_roots v =
-    let is_whole n = whole_part_edges v n <> [] in
-    let is_part n =
-      V.relationships_targeting v n
-      |> List.exists (fun (_, r) -> role_of_relationship r = Whole_end)
-    in
-    V.interface_names v |> List.filter (fun n -> is_whole n && not (is_part n))
+    V.interface_names v |> List.filter (is_aggregation_root v)
 
   let aggregation_hierarchies v =
     List.map (aggregation_hierarchy v) (aggregation_roots v)
@@ -116,14 +123,13 @@ module Make (V : Schema_view.S) = struct
 
   (** Heads of instance-of chains: generic entities that are not themselves
       an instance of anything. *)
-  let instance_heads v =
-    let is_generic n = generic_instance_edges v n <> [] in
-    let is_instance n =
-      V.relationships_targeting v n
-      |> List.exists (fun (_, r) -> role_of_relationship r = Generic_end)
-    in
-    V.interface_names v
-    |> List.filter (fun n -> is_generic n && not (is_instance n))
+  let is_instance_head v n =
+    generic_instance_edges v n <> []
+    && not
+         (V.relationships_targeting v n
+         |> List.exists (fun (_, r) -> role_of_relationship r = Generic_end))
+
+  let instance_heads v = V.interface_names v |> List.filter (is_instance_head v)
 
   let instance_chains v = List.map (instance_chain v) (instance_heads v)
 
@@ -134,6 +140,24 @@ module Make (V : Schema_view.S) = struct
     @ generalization_hierarchies v
     @ aggregation_hierarchies v
     @ instance_chains v
+
+  (* Each test below is the one [decompose] filters by, so the name passes
+     iff the decomposition holds a concept with this id (each test fails on
+     a name that is not an interface). *)
+  let find v id =
+    match String.index_opt id ':' with
+    | None -> None
+    | Some k -> (
+        let name = String.sub id (k + 1) (String.length id - k - 1) in
+        let build holds concept = if holds then Some (concept v name) else None in
+        match Concept.kind_of_id_prefix (String.sub id 0 k) with
+        | None -> None
+        | Some Wagon_wheel -> build (V.mem_interface v name) wagon_wheel
+        | Some Generalization ->
+            build (is_generalization_root v name) generalization_hierarchy
+        | Some Aggregation ->
+            build (is_aggregation_root v name) aggregation_hierarchy
+        | Some Instance_chain -> build (is_instance_head v name) instance_chain)
 end
 
 module Naive = Make (Schema_view.Naive)

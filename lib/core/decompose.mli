@@ -22,8 +22,25 @@ module Make (V : Schema_view.S) : sig
   val instance_heads : V.t -> type_name list
   val instance_chains : V.t -> Concept.t list
   val decompose : V.t -> Concept.t list
+
+  val find : V.t -> string -> Concept.t option
+  (** [find v id] builds just the concept schema [id] names: the id splits
+      at its first [':'] into a kind prefix ([ww], [gh], [ah], [ih]) and an
+      interface name, and the root, whole-part and instance-head tests
+      {!decompose} filters by decide whether that concept exists.
+
+      Guarantee (tested by property): [find v id] equals
+      [List.find_opt (fun c -> c.c_id = id) (decompose v)], [None]
+      included.
+
+      Cost on the indexed backend, independent of schema size [n]: a
+      wagon wheel of degree [d] takes O(d log n); a hierarchy of [m]
+      members and [e] edges O((m + e) log n) plus, for a generalization
+      hierarchy, sorting each member's subtypes into declaration order.
+      An id with no colon or an unknown prefix costs O(1). *)
 end
 
+module Naive : module type of Make (Schema_view.Naive)
 module Indexed : module type of Make (Schema_index)
 
 val wagon_wheel : schema -> type_name -> Concept.t
@@ -61,4 +78,6 @@ val decompose : schema -> Concept.t list
     hierarchies. *)
 
 val find : Concept.t list -> string -> Concept.t option
-(** Look a concept schema up by its id (e.g. ["ww:Course_Offering"]). *)
+(** Look a concept schema up by its id (e.g. ["ww:Course_Offering"]) in an
+    already computed list.  To resolve one id against a schema without
+    decomposing it, use [Make(V).find] ({!Indexed.find}). *)

@@ -73,24 +73,6 @@ type t = {
 
 (* --- reverse-reference maintenance -------------------------------------- *)
 
-let mentioned_names i =
-  let add_domain d acc =
-    match base_name d with None -> acc | Some n -> SSet.add n acc
-  in
-  SSet.empty
-  |> (fun acc -> List.fold_left (Fun.flip SSet.add) acc i.i_supertypes)
-  |> (fun acc ->
-       List.fold_left (fun acc r -> SSet.add r.rel_target acc) acc i.i_rels)
-  |> (fun acc ->
-       List.fold_left (fun acc a -> add_domain a.attr_type acc) acc i.i_attrs)
-  |> fun acc ->
-  List.fold_left
-    (fun acc o ->
-      List.fold_left
-        (fun acc a -> add_domain a.arg_type acc)
-        (add_domain o.op_return acc) o.op_args)
-    acc i.i_ops
-
 let multi_add key v m =
   SMap.update key
     (function None -> Some (SSet.singleton v) | Some s -> Some (SSet.add v s))
@@ -108,7 +90,9 @@ let multi_remove key v m =
 let index_refs name i (subs, mentions) =
   let subs = List.fold_left (fun m s -> multi_add s name m) subs i.i_supertypes in
   let mentions =
-    SSet.fold (fun m acc -> multi_add m name acc) (mentioned_names i) mentions
+    List.fold_left
+      (fun acc m -> multi_add m name acc)
+      mentions (Schema.mentioned_names i)
   in
   (subs, mentions)
 
@@ -117,7 +101,9 @@ let deindex_refs name i (subs, mentions) =
     List.fold_left (fun m s -> multi_remove s name m) subs i.i_supertypes
   in
   let mentions =
-    SSet.fold (fun m acc -> multi_remove m name acc) (mentioned_names i) mentions
+    List.fold_left
+      (fun acc m -> multi_remove m name acc)
+      mentions (Schema.mentioned_names i)
   in
   (subs, mentions)
 
@@ -178,23 +164,40 @@ let direct_subtypes t n =
   | None -> []
   | Some s -> in_declaration_order t (SSet.elements s)
 
-let rec closure next visited frontier =
-  match frontier with
-  | [] -> List.rev visited
-  | n :: rest ->
-      if List.mem n visited then closure next visited rest
-      else closure next (n :: visited) (next n @ rest)
+(* The naive closure's visit order, with a set for the visited test. *)
+let closure next frontier =
+  let rec go seen visited = function
+    | [] -> List.rev visited
+    | n :: rest ->
+        if SSet.mem n seen then go seen visited rest
+        else go (SSet.add n seen) (n :: visited) (next n @ rest)
+  in
+  go SSet.empty [] frontier
 
-let ancestors t n = closure (direct_supertypes t) [] (direct_supertypes t n)
-let descendants t n = closure (direct_subtypes t) [] (direct_subtypes t n)
+let ancestors t n = closure (direct_supertypes t) (direct_supertypes t n)
+let descendants t n = closure (direct_subtypes t) (direct_subtypes t n)
 
 let same_isa_line t a b =
   String.equal a b || List.mem b (ancestors t a) || List.mem b (descendants t a)
 
+let declares_no_supertype t i =
+  not (List.exists (mem_interface t) i.i_supertypes)
+
 let isa_roots t =
   t.sch.s_interfaces
-  |> List.filter (fun i -> not (List.exists (mem_interface t) i.i_supertypes))
+  |> List.filter (declares_no_supertype t)
   |> List.map (fun i -> i.i_name)
+
+let is_isa_root t n =
+  if t.has_dups then
+    (* a later record of a duplicated name may be the root *)
+    List.exists
+      (fun i -> String.equal i.i_name n && declares_no_supertype t i)
+      t.sch.s_interfaces
+  else
+    match find_interface t n with
+    | Some i -> declares_no_supertype t i
+    | None -> false
 
 let topo_ancestors t name = List.rev (name :: ancestors t name)
 
@@ -218,11 +221,14 @@ let visible_attrs t name =
   |> dedup_by (fun a -> a.attr_name)
   |> List.rev
 
-let relationships_targeting t name =
+let referrers t name =
   (match SMap.find_opt name t.mentions with
   | None -> []
   | Some owners -> in_declaration_order t (SSet.elements owners))
   |> List.filter_map (find_interface t)
+
+let relationships_targeting t name =
+  referrers t name
   |> List.concat_map (fun owner ->
          owner.i_rels
          |> List.filter (fun r -> String.equal r.rel_target name)

@@ -41,12 +41,21 @@ module type S = sig
   val descendants : t -> type_name -> type_name list
   val same_isa_line : t -> type_name -> type_name -> bool
   val isa_roots : t -> type_name list
+
+  val is_isa_root : t -> type_name -> bool
+  (** [List.mem n (isa_roots t)], answered for one name. *)
+
   val visible_attrs : t -> type_name -> attribute list
 
   (** {1 Relationship queries} *)
 
   val relationships_targeting :
     t -> type_name -> (interface * relationship) list
+
+  val referrers : t -> type_name -> interface list
+  (** Interfaces whose definition mentions the name anywhere (supertype,
+      relationship target, attribute domain, operation signature), in
+      declaration order — see {!Odl.Schema.mentioned_names}. *)
 
   (** {1 Functional updates}
 
@@ -93,8 +102,10 @@ module Naive : S with type t = schema = struct
   let descendants = Schema.descendants
   let same_isa_line = Schema.same_isa_line
   let isa_roots = Schema.isa_roots
+  let is_isa_root = Schema.is_isa_root
   let visible_attrs = Schema.visible_attrs
   let relationships_targeting = Schema.relationships_targeting
+  let referrers = Schema.referrers
   let update_interface = Schema.update_interface
   let add_interface = Schema.add_interface
   let remove_interface = Schema.remove_interface

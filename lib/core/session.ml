@@ -1,11 +1,12 @@
 (** A shrink wrap schema design session.
 
     The session owns the artifacts of the paper's architecture (Figure 1):
-    the original shrink wrap schema, its concept schemas, the workspace for
-    the schema under design, the operation log with recorded impacts, and —
-    derived on demand — the custom schema, the consistency report, and the
-    shrink-wrap → custom mapping.  Sessions are immutable values: applying
-    an operation returns a new session, and undo is structural.
+    the original shrink wrap schema, the workspace for the schema under
+    design, the operation log with recorded impacts, and — derived on
+    demand — the concept schemas, the custom schema, the consistency
+    report, and the shrink-wrap → custom mapping.  Sessions are immutable
+    values: applying an operation returns a new session, and undo is
+    structural.
 
     Operations run on the {e indexed} engine ({!Apply.Indexed} over
     {!Schema_index}): per-op constraint checking and propagation touch only
@@ -27,8 +28,8 @@ type step = {
 
 type t = {
   original : schema;  (** the shrink wrap schema, never modified *)
-  original_index : Schema_index.t;  (** index of [original] (stability checks) *)
-  concepts : Concept.t list;  (** decomposition of [original] *)
+  original_index : Schema_index.t;
+      (** index of [original] (stability checks, concept lookup) *)
   workspace : schema;  (** the schema under design; equals [schema index] *)
   index : Schema_index.t;  (** the workspace's index, updated per op *)
   past_indexes : Schema_index.t list;
@@ -129,7 +130,6 @@ let create ?(paranoid = false) shrink_wrap =
         {
           original = shrink_wrap;
           original_index = index;
-          concepts = Decompose.Indexed.decompose index;
           workspace = shrink_wrap;
           index;
           past_indexes = [];
@@ -145,13 +145,20 @@ let create ?(paranoid = false) shrink_wrap =
 let original t = t.original
 let workspace t = t.workspace
 let index t = t.index
-let concepts t = t.concepts
+let concepts t = Decompose.Indexed.decompose t.original_index
 let log t = List.rev t.rev_log
 let steps_rev t = t.rev_log
 let step_count t = t.nlog
 let version t = t.version
 
-let find_concept t id = Decompose.find t.concepts id
+let find_concept t id = Decompose.Indexed.find t.original_index id
+
+(* The workspace shows customizations; the original still resolves the
+   concepts a customization removed. *)
+let lookup_concept t id =
+  match Decompose.Indexed.find t.index id with
+  | Some _ as c -> c
+  | None -> find_concept t id
 
 let indexed_apply t ~kind op =
   let outcome = Apply.Indexed.apply ~original:t.original_index ~kind t.index op in
@@ -280,8 +287,9 @@ let consistency_report t =
 
 let mapping t = Mapping.compute ~original:t.original ~custom:t.workspace
 
-(** Refresh the concept schemas against the workspace (after modifications,
-    the decomposition of the workspace shows the customized concepts). *)
+(** The full decomposition of the workspace, which shows the customized
+    concepts.  O(schema): for listings; resolve one id with
+    {!lookup_concept}. *)
 let current_concepts t = Decompose.Indexed.decompose t.index
 
 (* --- deliverables -------------------------------------------------------- *)

@@ -1,10 +1,10 @@
 (** A shrink wrap schema design session.
 
     The session owns the artifacts of the paper's architecture (Figure 1):
-    the original shrink wrap schema, its concept schemas, the workspace for
-    the schema under design, the operation log with recorded impacts, the
-    local-name bindings, and — derived on demand — the custom schema, the
-    consistency report, and the shrink-wrap → custom mapping.  Sessions are
+    the original shrink wrap schema, the workspace for the schema under
+    design, the operation log with recorded impacts, the local-name
+    bindings, and — derived on demand — the concept schemas, the custom
+    schema, the consistency report, and the shrink-wrap → custom mapping.  Sessions are
     immutable values: applying an operation returns a new session, and undo
     is structural. *)
 
@@ -57,8 +57,10 @@ val workspace : t -> schema
 
 val index : t -> Schema_index.t
 (** The workspace's schema index (kept in lock-step with {!workspace}). *)
+
 val concepts : t -> Concept.t list
-(** The decomposition of the original schema. *)
+(** The decomposition of the original schema, computed on each call:
+    O(schema).  For listings; {!find_concept} resolves one id. *)
 
 val log : t -> step list
 (** The applied steps, oldest first (rebuilt on each call — report-path
@@ -79,7 +81,17 @@ val version : t -> int
     transition (apply, undo, redo, alias changes).  Unlike {!step_count} it
     never goes backwards along a session's lineage, so snapshot readers can
     use it to detect staleness. *)
+
 val find_concept : t -> string -> Concept.t option
+(** The concept schema of the original schema with this id
+    ([Decompose.Indexed.find]): cost bounded by that concept's size, not
+    the schema's. *)
+
+val lookup_concept : t -> string -> Concept.t option
+(** The designer's lookup rule: the concept schema with this id in the
+    workspace (customizations visible), else in the original schema (a
+    concept a customization removed).  Two {!Decompose.Indexed.find}
+    calls, so its cost is independent of schema size. *)
 
 val apply :
   t -> kind:Concept.kind -> Modop.t -> (t * Change.event list, Apply.error) result
@@ -125,7 +137,9 @@ val mapping : t -> Mapping.t
 val mapping_report : t -> string
 val impact_report : t -> string
 val current_concepts : t -> Concept.t list
-(** Decomposition of the workspace (reflects customizations). *)
+(** The full decomposition of the workspace (reflects customizations),
+    computed on each call: O(schema).  For listings; {!lookup_concept}
+    resolves one id. *)
 
 val deliverables : t -> string
 (** All designer deliverables in one document. *)

@@ -65,13 +65,16 @@ let concept_line (c : Core.Concept.t) =
     (Core.Concept.kind_name c.c_kind)
     (List.length c.c_members)
 
-let find_concept state id =
-  (* look the concept up in the decomposition of the current workspace so
-     customizations are visible, falling back to the original decomposition
-     for concepts the customization removed *)
-  match Core.Decompose.find (Session.current_concepts state.session) id with
-  | Some c -> Some c
-  | None -> Core.Decompose.find (Session.concepts state.session) id
+(* builds the one concept schema [id] names (workspace first, then the
+   original), at a cost bounded by that concept, not by the schema *)
+let find_concept state id = Session.lookup_concept state.session id
+
+(* the schema to render [c] against: the workspace, unless the
+   customization removed [c]'s focus — then it shows as the original had it *)
+let rendering_schema state (c : Core.Concept.t) =
+  if Core.Schema_index.mem_interface (Session.index state.session) c.c_focus
+  then Session.workspace state.session
+  else Session.original state.session
 
 let focused_kind state =
   match state.focus with
@@ -89,7 +92,7 @@ let do_apply state op =
         [ Feedback.error "no concept schema focused; use: focus <concept-id>" ] )
   | Some kind -> (
       let cautions =
-        Repository.Knowledge.cautions (Session.workspace state.session) op
+        Repository.Knowledge.Indexed.cautions (Session.index state.session) op
         |> List.map Feedback.caution
       in
       match Session.apply state.session ~kind op with
@@ -115,7 +118,7 @@ let do_preview state op =
         [ Feedback.error "no concept schema focused; use: focus <concept-id>" ] )
   | Some kind -> (
       let cautions =
-        Repository.Knowledge.cautions (Session.workspace state.session) op
+        Repository.Knowledge.Indexed.cautions (Session.index state.session) op
         |> List.map Feedback.caution
       in
       match Session.preview state.session ~kind op with
@@ -187,7 +190,12 @@ let rec exec state (cmd : Command.t) =
       | None -> (state, [ Feedback.error "nothing focused; show <concept-id>" ])
       | Some id -> (
           match find_concept state id with
-          | Some c -> (state, [ Feedback.output (Core.Render.concept workspace c) ])
+          | Some c ->
+              ( state,
+                [
+                  Feedback.output
+                    (Core.Render.concept (rendering_schema state c) c);
+                ] )
           | None -> (state, [ Feedback.error ("no concept schema named " ^ id) ])))
   | Odl name -> (
       match Odl.Schema.find_interface workspace name with
@@ -317,7 +325,11 @@ let rec exec state (cmd : Command.t) =
       | Some id -> (
           match find_concept state id with
           | Some c ->
-              (state, [ Feedback.output (Core.Explain.concept_text workspace c) ])
+              ( state,
+                [
+                  Feedback.output
+                    (Core.Explain.concept_text (rendering_schema state c) c);
+                ] )
           | None -> (state, [ Feedback.error ("no concept schema named " ^ id) ])))
   | Alias (canonical, local) -> (
       let target = Core.Aliases.target_of_string canonical in

@@ -89,12 +89,20 @@ let same_isa_line schema a b =
   || List.mem b (ancestors schema a)
   || List.mem b (descendants schema a)
 
+let declares_no_supertype schema i =
+  not (List.exists (mem_interface schema) i.i_supertypes)
+
 (** Interfaces without supertypes — the roots of generalization hierarchies. *)
 let isa_roots schema =
   schema.s_interfaces
-  |> List.filter (fun i ->
-         not (List.exists (mem_interface schema) i.i_supertypes))
+  |> List.filter (declares_no_supertype schema)
   |> List.map (fun i -> i.i_name)
+
+(** [is_isa_root schema name] iff [name] occurs in [isa_roots schema]. *)
+let is_isa_root schema name =
+  List.exists
+    (fun i -> String.equal i.i_name name && declares_no_supertype schema i)
+    schema.s_interfaces
 
 (* Inheritance: collect inherited instance properties top-down so that a
    subtype redefinition overrides (by name) what a supertype declares. *)
@@ -149,6 +157,27 @@ let all_relationships schema =
 let relationships_targeting schema name =
   all_relationships schema
   |> List.filter (fun (_, r) -> String.equal r.rel_target name)
+
+(** Every type name [i]'s definition mentions — supertypes, relationship
+    targets, and the named types underlying attribute domains and operation
+    signatures — sorted, without duplicates. *)
+let mentioned_names i =
+  let domains =
+    List.map (fun a -> a.attr_type) i.i_attrs
+    @ List.concat_map
+        (fun o -> o.op_return :: List.map (fun a -> a.arg_type) o.op_args)
+        i.i_ops
+  in
+  List.sort_uniq String.compare
+    (i.i_supertypes
+    @ List.map (fun r -> r.rel_target) i.i_rels
+    @ List.filter_map base_name domains)
+
+(** Interfaces whose definition mentions [name], in declaration order. *)
+let referrers schema name =
+  List.filter
+    (fun i -> List.mem name (mentioned_names i))
+    schema.s_interfaces
 
 (** The declared inverse of [(owner, r)], if present on the target. *)
 let inverse_of schema (r : relationship) =

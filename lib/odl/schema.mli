@@ -61,6 +61,10 @@ val same_isa_line : schema -> type_name -> type_name -> bool
 val isa_roots : schema -> type_name list
 (** Interfaces without (existing) supertypes. *)
 
+val is_isa_root : schema -> type_name -> bool
+(** Whether the name occurs in {!isa_roots}: some interface of that name
+    declares no existing supertype. *)
+
 (** {1 Inheritance-aware visibility}
 
     A redefinition in a subtype shadows the same-named member above it. *)
@@ -75,6 +79,15 @@ val all_relationships : schema -> (interface * relationship) list
 (** Every relationship end with its owning interface. *)
 
 val relationships_targeting : schema -> type_name -> (interface * relationship) list
+
+val mentioned_names : interface -> type_name list
+(** Every type name the interface's definition mentions: supertypes,
+    relationship targets, and the named types under attribute domains and
+    operation signatures.  Sorted, duplicate-free. *)
+
+val referrers : schema -> type_name -> interface list
+(** Interfaces whose definition mentions the name (see {!mentioned_names}),
+    in declaration order. *)
 
 val inverse_of : schema -> relationship -> (interface * relationship) option
 (** The declared inverse end, when present on the target. *)

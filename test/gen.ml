@@ -89,6 +89,51 @@ let synth_schema_hierarchical =
 let any_synth_schema =
   frequency [ (2, synth_schema); (1, synth_schema_hierarchical) ]
 
+(* Rename every interface (and every mention of it) by [f]; [f] must be
+   injective so names stay unique. *)
+let rename_interfaces f (s : schema) =
+  let rec domain = function
+    | D_named n -> D_named (f n)
+    | D_collection (k, d) -> D_collection (k, domain d)
+    | d -> d
+  in
+  let iface i =
+    {
+      i with
+      i_name = f i.i_name;
+      i_supertypes = List.map f i.i_supertypes;
+      i_attrs =
+        List.map (fun a -> { a with attr_type = domain a.attr_type }) i.i_attrs;
+      i_rels = List.map (fun r -> { r with rel_target = f r.rel_target }) i.i_rels;
+      i_ops =
+        List.map
+          (fun o ->
+            {
+              o with
+              op_return = domain o.op_return;
+              op_args =
+                List.map (fun a -> { a with arg_type = domain a.arg_type }) o.op_args;
+            })
+          i.i_ops;
+    }
+  in
+  { s with s_interfaces = List.map iface s.s_interfaces }
+
+(** A synthetic schema in which some interfaces carry quoted names
+    containing [':'] — among them names that look like concept ids
+    (["ww:T3"]), so an id splits at its {e first} colon only. *)
+let synth_schema_colon_names =
+  let* s = any_synth_schema in
+  let* prefixes =
+    list_repeat (List.length s.s_interfaces)
+      (oneofl [ ""; ""; "ww:"; "gh:"; ":"; "a:b:"; "ih: "; "x\\:" ])
+  in
+  let table = List.combine (Odl.Schema.interface_names s) prefixes in
+  let rename n =
+    match List.assoc_opt n table with Some p -> p ^ n | None -> n
+  in
+  return (rename_interfaces rename s)
+
 let concept_kind =
   oneofl
     Core.Concept.[ Wagon_wheel; Generalization; Aggregation; Instance_chain ]
@@ -402,3 +447,35 @@ let schema_and_ops =
   let* schema = any_synth_schema in
   let* ops = op_sequence schema in
   return (schema, ops)
+
+(** Like {!schema_and_ops}, but half the schemas carry colon names
+    ({!synth_schema_colon_names}), which the workload then targets. *)
+let colon_schema_and_ops =
+  let* schema =
+    frequency [ (1, any_synth_schema); (1, synth_schema_colon_names) ]
+  in
+  let* ops = op_sequence schema in
+  return (schema, ops)
+
+(** [s] with about a third of its attributes re-typed to a named domain,
+    plain or set-valued, over one of its own interfaces: domain uses, which
+    synthetic schemas and {!plausible_op} never create.  Deterministic in
+    [seed]. *)
+let with_named_domains seed (s : schema) =
+  let names = Array.of_list (Odl.Schema.interface_names s) in
+  let rng = Random.State.make [| seed |] in
+  let retype a =
+    if Array.length names = 0 || Random.State.int rng 3 <> 0 then a
+    else
+      let d = D_named names.(Random.State.int rng (Array.length names)) in
+      {
+        a with
+        attr_type = (if Random.State.bool rng then d else D_collection (Set, d));
+        attr_size = None;
+      }
+  in
+  {
+    s with
+    s_interfaces =
+      List.map (fun i -> { i with i_attrs = List.map retype i.i_attrs }) s.s_interfaces;
+  }

@@ -38,6 +38,45 @@ let show_without_focus () =
   let _, fb = run (start ()) "show" in
   Alcotest.(check bool) "error" true (has_error fb)
 
+(* a concept the customization removed still resolves through the original
+   schema: it renders as the original had it and keeps its permission row *)
+let removed_concept_resolves () =
+  let st =
+    run_all (start ()) [ "focus ww:Book"; "apply delete_type_definition(Book)" ]
+  in
+  let _, fb = run st "odl Book" in
+  Alcotest.(check bool) "Book is gone from the workspace" true (has_error fb);
+  let _, fb = run st "show ww:Book" in
+  Alcotest.(check bool) "show resolves" false (has_error fb);
+  Alcotest.(check bool) "renders the original wheel" true
+    (output_contains fb "attr  isbn : string<13>");
+  let _, fb = run st "explain" in
+  Alcotest.(check bool) "explain resolves" false (has_error fb);
+  let _, fb = run st "apply add_type_definition(Book)" in
+  Alcotest.(check bool) "apply runs in the wagon wheel" true
+    (output_contains fb "applied add_type_definition(Book)")
+
+(* a generalization hierarchy exists only while its root is an ISA root: a
+   workspace-only hierarchy disappears once its root gains a supertype *)
+let focus_gh_needs_isa_root () =
+  let st =
+    run_all (start ())
+      [
+        "focus gh:Person";
+        "apply add_type_definition(Lab)";
+        "apply add_type_definition(Sublab)";
+        "apply add_supertype(Sublab, Lab)";
+      ]
+  in
+  let st, fb = run st "focus gh:Lab" in
+  Alcotest.(check bool) "focused while a root" true
+    (output_contains fb "focused gh:Lab (generalization hierarchy)");
+  let st, fb = run st "apply add_supertype(Lab, Person)" in
+  Alcotest.(check bool) "supertype added" false (has_error fb);
+  let _, fb = run st "focus gh:Lab" in
+  Alcotest.(check bool) "no longer a hierarchy" true
+    (output_contains fb "no concept schema named gh:Lab")
+
 let apply_requires_focus () =
   let _, fb = run (start ()) "apply add_type_definition(Lab)" in
   Alcotest.(check bool) "error" true (has_error fb);
@@ -394,6 +433,8 @@ let tests =
     test "focus and show" focus_and_show;
     test "focus unknown concept" focus_unknown;
     test "show without focus" show_without_focus;
+    test "removed concept resolves through the original" removed_concept_resolves;
+    test "focus gh needs an ISA root" focus_gh_needs_isa_root;
     test "apply requires focus" apply_requires_focus;
     test "apply with focus" apply_with_focus;
     test "apply denied with hint" apply_denied_with_hint;

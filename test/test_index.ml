@@ -129,7 +129,101 @@ let decompositions_agree =
       in
       agree orig_idx && go orig_idx steps)
 
-(* 7. seed schemas: the named examples and fixed-size synthetic schemas,
+(* 7. resolving one concept id builds exactly the concept the full
+   decomposition holds under that id, [None] included, on both backends:
+   every decomposed id, every interface under every prefix (and an
+   unknown one), bare names and degenerate ids *)
+let probe_ids s =
+  List.concat_map
+    (fun n ->
+      n :: List.map (fun p -> p ^ ":" ^ n) [ "ww"; "gh"; "ah"; "ih"; "xx"; "" ])
+    (Odl.Schema.interface_names s)
+  @ [ ""; ":"; "ww"; "ww:"; "gh:"; "ah:ww:" ]
+
+let find_agrees_with_decompose idx =
+  let s = Index.schema idx in
+  let full = Core.Decompose.Indexed.decompose idx in
+  List.for_all
+    (fun id ->
+      let expected = Core.Decompose.find full id in
+      Option.equal Core.Concept.equal (Core.Decompose.Indexed.find idx id) expected
+      && Option.equal Core.Concept.equal (Core.Decompose.Naive.find s id) expected)
+    (List.map (fun (c : Core.Concept.t) -> c.c_id) full @ probe_ids s)
+
+let find_agrees =
+  prop "per-id find = find in decompose" Gen.synth_schema_colon_names (fun s ->
+      find_agrees_with_decompose (Index.build s))
+
+let find_agrees_after_ops =
+  prop "per-id find = find in decompose over op sequences"
+    Gen.colon_schema_and_ops (fun (schema, steps) ->
+      let orig_idx = Index.build schema in
+      let rec go idx = function
+        | [] -> true
+        | (kind, op) :: rest -> (
+            match Apply.Indexed.apply ~original:orig_idx ~kind idx op with
+            | Error _ -> go idx rest
+            | Ok (idx', _) -> find_agrees_with_decompose idx' && go idx' rest)
+      in
+      find_agrees_with_decompose orig_idx && go orig_idx steps)
+
+(* 8. duplicate interface names (invalid, but representable): each backend's
+   find still equals lookup in its own decomposition.  The appended copy
+   drops its supertypes, so the name's later record is an ISA root while
+   its first may not be. *)
+let find_agrees_with_duplicates =
+  let gen =
+    QCheck2.Gen.(
+      let* s = Gen.any_synth_schema in
+      let* k = int_bound (List.length s.s_interfaces - 1) in
+      let copy = { (List.nth s.s_interfaces k) with i_supertypes = [] } in
+      return { s with s_interfaces = s.s_interfaces @ [ copy ] })
+  in
+  prop "per-id find = find in decompose with duplicate names" gen (fun s ->
+      let agree find decompose v =
+        let full = decompose v in
+        List.for_all
+          (fun id ->
+            Option.equal Core.Concept.equal (find v id)
+              (Core.Decompose.find full id))
+          (List.map (fun (c : Core.Concept.t) -> c.c_id) full @ probe_ids s)
+      in
+      agree Core.Decompose.Naive.find Core.Decompose.Naive.decompose s
+      && agree Core.Decompose.Indexed.find Core.Decompose.Indexed.decompose
+           (Index.build s))
+
+(* 9. the knowledge component's cautions read the same on the index as on
+   the plain schema, before every step of a workload — for the step's op
+   and for deleting each interface, with attributes re-typed onto named
+   domains so deletions have domain uses to count *)
+let cautions_agree =
+  let gen = QCheck2.Gen.(pair Gen.schema_and_ops (int_bound 10_000)) in
+  prop "indexed cautions = naive cautions over op sequences" gen
+    (fun ((schema, steps), seed) ->
+      let schema = Gen.with_named_domains seed schema in
+      let orig_idx = Index.build schema in
+      let agree idx op =
+        List.equal String.equal
+          (Repository.Knowledge.Indexed.cautions idx op)
+          (Repository.Knowledge.cautions (Index.schema idx) op)
+      in
+      let rec go idx steps =
+        List.for_all
+          (fun n -> agree idx (Core.Modop.Delete_type_definition n))
+          (Index.interface_names idx)
+        &&
+        match steps with
+        | [] -> true
+        | (kind, op) :: rest -> (
+            agree idx op
+            &&
+            match Apply.Indexed.apply ~original:orig_idx ~kind idx op with
+            | Error _ -> go idx rest
+            | Ok (idx', _) -> go idx' rest)
+      in
+      go orig_idx steps)
+
+(* 10. seed schemas: the named examples and fixed-size synthetic schemas,
    checked deterministically *)
 let seed_case name schema =
   Alcotest.test_case name `Quick (fun () ->
@@ -161,5 +255,9 @@ let tests =
     engines_agree;
     paranoid_session_agrees;
     decompositions_agree;
+    find_agrees;
+    find_agrees_after_ops;
+    find_agrees_with_duplicates;
+    cautions_agree;
   ]
   @ seed_units
