@@ -13,7 +13,8 @@
     - P6 diff: operation-log inference between two schemas
     - P7 affinity: semantic affinity between two schemas
     - P8 index: incremental (dirty-set) consistency re-check vs a full
-      naive check, and the indexed vs naive apply engine
+      naive check, the indexed vs naive apply engine, and the re-check
+      after a leaf update from 100 to 10000 interfaces (gated)
     - P9 migrate: instance migration through a customization
     - P10 journal: appending one durable record to an n-record operation
       journal vs rewriting the whole log (the persistence cost per accepted
@@ -135,6 +136,43 @@ let index_checks_for n =
                 ~kind:Core.Concept.Wagon_wheel warm op)));
   ]
 
+(* P8 leaf cells: the same update-then-check on an interface with no
+   subtypes and a dirty neighbourhood of at most 8, from 100 to 10000
+   interfaces.  The re-check itself is O(dirty); what still grows with n is
+   the schema's interface-list rebuild, so the gate below bounds the growth
+   at 15x over the 100x size range.  A return of any whole-schema walk per
+   check (one per-interface cache probe each) breaks it. *)
+let leaf_sizes = [ 100; 1000; 10000 ]
+let leaf_gate_bound = 15.
+
+let leaf_checks_for n =
+  let module Index = Core.Schema_index in
+  let warm = Index.build (schema_of n) in
+  ignore (Index.diagnostics warm);
+  let leaf =
+    List.find
+      (fun name ->
+        Index.direct_subtypes warm name = []
+        && List.length (Index.affected_by warm [ name ]) <= 8)
+      (Index.interface_names warm)
+  in
+  let probe i =
+    {
+      i with
+      Odl.Types.i_attrs =
+        {
+          Odl.Types.attr_name = "bench_leaf";
+          attr_type = D_int;
+          attr_size = None;
+        }
+        :: i.Odl.Types.i_attrs;
+    }
+  in
+  Test.make
+    ~name:(Printf.sprintf "check-incremental-leaf/%d" n)
+    (Staged.stage (fun () ->
+         ignore (Index.diagnostics (Index.update_interface warm leaf probe))))
+
 (* P9: instance migration — a store of [3n] objects migrated through a
    customization that deletes one type *)
 let migration_bench n =
@@ -237,11 +275,19 @@ let journal_benches_for ~dirs n =
   ]
 
 (* P8 baseline: incremental vs full checking, recorded as JSON so later
-   work can compare against a committed reference. *)
+   work can compare against a committed reference.  Exits 1 when the leaf
+   gate fails. *)
 let run_index ~json_path () =
   let rows =
     measure_rows
       (Test.make_grouped ~name:"index" (List.concat_map index_checks_for sizes))
+  in
+  (* the leaf cells' large schemas are built only now, so the GC work of
+     their heap does not land on the small cells above *)
+  let rows =
+    rows
+    @ measure_rows
+        (Test.make_grouped ~name:"index" (List.map leaf_checks_for leaf_sizes))
   in
   print_rows "P8: incremental vs full consistency check (ns/run)" rows;
   let strip name =
@@ -250,9 +296,12 @@ let run_index ~json_path () =
     | Some i -> String.sub name (i + 1) (String.length name - i - 1)
     | None -> name
   in
+  let rows = List.map (fun (name, ns) -> (strip name, ns)) rows in
+  let leaf n = List.assoc (Printf.sprintf "check-incremental-leaf/%d" n) rows in
+  let ratio = leaf 10000 /. leaf 100 in
+  let passed = ratio <= leaf_gate_bound in
   let entry (name, ns) =
-    Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" (strip name)
-      ns
+    Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }" name ns
   in
   let json =
     String.concat "\n"
@@ -262,6 +311,12 @@ let run_index ~json_path () =
         "  \"schema\": \"Schemas.Synth.default_params, sizes below\",";
         Printf.sprintf "  \"sizes\": [%s],"
           (String.concat ", " (List.map string_of_int sizes));
+        Printf.sprintf "  \"leaf_sizes\": [%s],"
+          (String.concat ", " (List.map string_of_int leaf_sizes));
+        Printf.sprintf
+          "  \"leaf_gate\": { \"ratio_10000_over_100\": %.2f, \"bound\": %.1f, \
+           \"passed\": %b },"
+          ratio leaf_gate_bound passed;
         "  \"unit\": \"ns/run\",";
         "  \"results\": [";
         String.concat ",\n" (List.map entry rows);
@@ -273,7 +328,12 @@ let run_index ~json_path () =
   let oc = open_out json_path in
   output_string oc json;
   close_out oc;
-  Printf.printf "\nwrote %s\n" json_path
+  Printf.printf "\nwrote %s\n" json_path;
+  Printf.printf
+    "leaf gate: check-incremental-leaf/10000 = %.1fx /100 (bound %.0fx): %s\n"
+    ratio leaf_gate_bound
+    (if passed then "pass" else "FAIL");
+  if not passed then exit 1
 
 (* P10 baseline: journal append vs whole-log rewrite, recorded as JSON so
    the O(1)-ish append per accepted operation stays an auditable claim. *)

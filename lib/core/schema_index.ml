@@ -10,16 +10,22 @@
       anywhere (supertype list, relationship target, attribute domain,
       operation signature).  This is the reverse dependency relation the
       dirty-set is computed from;
-    - a per-interface diagnostics cache plus a cache of the schema-global
-      check results.
+    - a per-interface diagnostics cache, the {e findings} set of interfaces
+      whose cached diagnostics are non-empty, the {e pending} set of
+      interfaces whose cache entries an update invalidated, and a cache of
+      the schema-global check results;
+    - a change {e journal}: the names each update touched since {!build},
+      newest first, sharing its tail with the parent version's journal,
+      and a [clock] counting its length from the build's interface
+      count.
 
     The index is {e persistent}: updates return a new value and old values
     stay usable, which is what lets {!Session} implement undo by keeping
     old index versions.  For that reason the maps are balanced trees
     ([Map.Make (String)]) rather than mutable hashtables — a hashtable
-    would be shared across versions and corrupted by divergence (the caches
-    are mutable, but they are {e per-version} fields holding persistent
-    maps, so mutation is only ever memoization).
+    would be shared across versions and corrupted by divergence (the
+    check-state fields are mutable, but they are {e per-version} fields
+    holding persistent values, so mutation is only ever memoization).
 
     Incrementality: when interface [x] changes, the set of interfaces whose
     per-interface check results (or propagation-rule firings) can change is
@@ -28,23 +34,27 @@
 
     — descendants because inherited visibility flows down the ISA graph,
     mentions because every cross-interface check first names the interface
-    it depends on.  {!update_interface} invalidates exactly that
-    neighbourhood, so a later {!diagnostics} recomputes O(degree) interface
-    checks instead of O(schema).  The schema-global checks (duplicate
-    names, hierarchy shape, duplicate extents) are cached as a block and
-    invalidated only by updates that touch names, supertypes, relationships
-    or extents.
+    it depends on.  {!update_interface} adds exactly that neighbourhood to
+    the pending set, so a later {!diagnostics} re-checks O(degree)
+    interfaces and assembles its answer from the findings set —
+    O(dirty + findings), not O(schema), whenever the global block below
+    survives the update.  A freshly built index is {e cold}: its first
+    {!diagnostics} walks every interface once.
+    The schema-global checks (duplicate names, hierarchy shape, duplicate
+    extents) are cached as a block and invalidated only by updates that
+    touch names, supertypes, relationships or extents.
 
     Degenerate schemas with duplicate interface names (always an error, and
     rejected by {!Session.create}) are handled by falling back to a full
-    rebuild on update and bypassing the cache for the duplicated names, so
-    {!diagnostics} still equals the naive checker's output exactly. *)
+    rebuild on update and an uncached full check, so {!diagnostics} still
+    equals the naive checker's output exactly. *)
 
 open Odl.Types
 module Schema = Odl.Schema
 module Validate = Odl.Validate
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
+module IMap = Map.Make (Int)
 
 type iface_diags = {
   d_naming : Validate.diagnostic list;
@@ -56,20 +66,45 @@ type global_diags = {
   g_naming : Validate.diagnostic list;
   g_hierarchy : Validate.diagnostic list;
   g_extents : Validate.diagnostic list;
-  g_dups : SSet.t;  (** duplicated interface names (cache-bypass set) *)
 }
+
+(* The findings — declaration position → name of the interfaces whose
+   cached diagnostics are non-empty — and which cache entries may be stale.
+   [Clean f]: none.  [Dirty (f, p)]: those of the names in [p]; every other
+   existing interface has a valid cache entry and is in [f] iff that entry
+   is non-empty.  [Cold]: all of them (a fresh build, or a version derived
+   from a cold one). *)
+type check =
+  | Clean of type_name IMap.t
+  | Dirty of type_name IMap.t * SSet.t
+  | Cold
+
+(* Allocated once per [build]: versions share it iff they descend from the
+   same build.  It carries the one build-time fact that never changes in a
+   lineage — every update of a version with duplicated names rebuilds. *)
+type origin = { dups : bool }
 
 type t = {
   sch : schema;
   by_name : (interface * int) SMap.t;
-      (** position = declaration order; not contiguous after removals *)
+      (** position = declaration order; not contiguous *)
   subs : SSet.t SMap.t;
   mentions : SSet.t SMap.t;
-  next_pos : int;
-  has_dups : bool;
+  origin : origin;
+  clock : int;
+      (** the build's interface count plus one per update since: the
+          position the next added interface takes, and [clock] minus
+          [List.length journal] is the same for every version of a build *)
+  journal : type_name list;
+      (** the names the updates since [build] touched, newest first; each
+          update conses onto its parent's, so two versions of one build
+          share their last common version's journal physically *)
   mutable cache : iface_diags SMap.t;
+  mutable check : check;
   mutable g_cache : global_diags option;
 }
+
+let has_dups t = t.origin.dups
 
 (* --- reverse-reference maintenance -------------------------------------- *)
 
@@ -108,7 +143,7 @@ let deindex_refs name i (subs, mentions) =
   (subs, mentions)
 
 let build sch =
-  let by_name, subs, mentions, next_pos, has_dups =
+  let by_name, subs, mentions, clock, dups =
     List.fold_left
       (fun (by, subs, mentions, pos, dups) i ->
         let dups = dups || SMap.mem i.i_name by in
@@ -125,9 +160,11 @@ let build sch =
     by_name;
     subs;
     mentions;
-    next_pos;
-    has_dups;
+    origin = { dups };
+    clock;
+    journal = [];
     cache = SMap.empty;
+    check = Cold;
     g_cache = None;
   }
 
@@ -189,7 +226,7 @@ let isa_roots t =
   |> List.map (fun i -> i.i_name)
 
 let is_isa_root t n =
-  if t.has_dups then
+  if has_dups t then
     (* a later record of a duplicated name may be the root *)
     List.exists
       (fun i -> String.equal i.i_name n && declares_no_supertype t i)
@@ -274,7 +311,15 @@ let affected_by t names =
    [mentions] of that region only ever change in ways already covered by the
    seed), so pre- and post-computation agree. *)
 
-let prune dirty cache = SSet.fold SMap.remove dirty cache
+(* A child version's check state: the parent's, with the dirty
+   neighbourhood added to the pending names.  The child starts from the
+   parent's cache, read after this: {!diagnostics} may be warming the
+   parent concurrently, and it writes [check] last. *)
+let inherit_check t dirty =
+  match t.check with
+  | Cold -> Cold
+  | Clean f -> Dirty (f, dirty)
+  | Dirty (f, p) -> Dirty (f, SSet.union p dirty)
 
 (* Schema-global checks survive an interface update that leaves names,
    supertype links, relationship ends and extents untouched. *)
@@ -288,11 +333,11 @@ let update_interface t name f =
   | None -> raise (Schema.Unknown_interface name)
   | Some (old_i, p) ->
       let new_i = f old_i in
-      if t.has_dups || not (String.equal new_i.i_name name) then
+      if has_dups t || not (String.equal new_i.i_name name) then
         (* rename or duplicated names: rare, degenerate — rebuild *)
         build (Schema.update_interface t.sch name f)
       else
-        let dirty = dirty_closure t [ name ] in
+        let check = inherit_check t (dirty_closure t [ name ]) in
         let refs = deindex_refs name old_i (t.subs, t.mentions) in
         let subs, mentions = index_refs name new_i refs in
         {
@@ -301,36 +346,47 @@ let update_interface t name f =
           by_name = SMap.add name (new_i, p) t.by_name;
           subs;
           mentions;
-          cache = prune dirty t.cache;
+          clock = t.clock + 1;
+          journal = name :: t.journal;
+          cache = t.cache;
+          check;
           g_cache =
             (if globals_survive old_i new_i then t.g_cache else None);
         }
 
 let add_interface t i =
   let name = i.i_name in
-  if t.has_dups || SMap.mem name t.by_name then
+  if has_dups t || SMap.mem name t.by_name then
     build (Schema.add_interface t.sch i)
   else
-    let dirty = dirty_closure t [ name ] in
+    let check = inherit_check t (dirty_closure t [ name ]) in
     let subs, mentions = index_refs name i (t.subs, t.mentions) in
     {
       t with
       sch = Schema.add_interface t.sch i;
-      by_name = SMap.add name (i, t.next_pos) t.by_name;
+      by_name = SMap.add name (i, t.clock) t.by_name;
       subs;
       mentions;
-      next_pos = t.next_pos + 1;
-      cache = prune dirty t.cache;
+      clock = t.clock + 1;
+      journal = name :: t.journal;
+      cache = t.cache;
+      check;
       g_cache = None;
     }
 
 let remove_interface t name =
-  if t.has_dups then build (Schema.remove_interface t.sch name)
+  if has_dups t then build (Schema.remove_interface t.sch name)
   else
     match SMap.find_opt name t.by_name with
     | None -> t  (* naive removal of an absent name is a no-op *)
-    | Some (old_i, _) ->
-        let dirty = dirty_closure t [ name ] in
+    | Some (old_i, p) ->
+        let check =
+          (* the removed name's position leaves the findings with it: a
+             later re-check can no longer look the position up *)
+          match inherit_check t (dirty_closure t [ name ]) with
+          | Dirty (f, d) -> Dirty (IMap.remove p f, d)
+          | check -> check
+        in
         let subs, mentions = deindex_refs name old_i (t.subs, t.mentions) in
         {
           t with
@@ -338,36 +394,67 @@ let remove_interface t name =
           by_name = SMap.remove name t.by_name;
           subs;
           mentions;
-          cache = prune dirty t.cache;
+          clock = t.clock + 1;
+          journal = name :: t.journal;
+          cache = SMap.remove name t.cache;
+          check;
           g_cache = None;
         }
 
 (* --- version deltas ------------------------------------------------------ *)
 
-(* Because updates rebuild only the touched [by_name] entries (persistent
-   maps share the rest), two versions of one lineage disagree physically on
-   exactly the entries some update replaced.  Comparing entries by pointer
-   therefore recovers the changed-name set in O(n) worst case but O(changed ·
-   log n) typically, without storing any explicit changelog.  A no-op update
-   that returns the old record unchanged compares equal and is (correctly)
-   not reported. *)
+(* The brute-force answer: every name whose [by_name] entry is not
+   physically shared between the two versions.  Only versions of different
+   builds need it. *)
+let changed_by_fold a b =
+  let s =
+    SMap.fold
+      (fun n (ia, _) acc ->
+        match SMap.find_opt n b.by_name with
+        | Some (ib, _) when ia == ib -> acc
+        | _ -> SSet.add n acc)
+      a.by_name SSet.empty
+  in
+  SMap.fold
+    (fun n _ acc -> if SMap.mem n a.by_name then acc else SSet.add n acc)
+    b.by_name s
+  |> SSet.elements
+
+(* The names journalled by either of two versions of one build since their
+   last common version: align the journals by length (the clocks differ by
+   exactly that), then step both back until they meet physically. *)
+let since_common a b =
+  let rec drop k j acc =
+    match j with
+    | n :: rest when k > 0 -> drop (k - 1) rest (n :: acc)
+    | _ -> (j, acc)
+  in
+  let ja, acc = drop (a.clock - b.clock) a.journal [] in
+  let jb, acc = drop (b.clock - a.clock) b.journal acc in
+  let rec sync ja jb acc =
+    match (ja, jb) with
+    | x :: ja', y :: jb' when ja != jb -> sync ja' jb' (x :: y :: acc)
+    | _ -> acc
+  in
+  sync ja jb acc
+
+(* An update replaces only its own name's [by_name] entry, so every entry
+   that differs between two versions of one build belongs to a name some
+   update since their last common version journalled.  Filtering those
+   candidates with the fold's pointer test gives exactly the fold's answer
+   in O(changed · log n).  A no-op update that returns the old record
+   unchanged compares equal and is (correctly) not reported. *)
 let changed_names a b =
   if a.sch == b.sch then []
+  else if a.origin != b.origin then changed_by_fold a b
   else
-    let s =
-      SMap.fold
-        (fun n (ia, _) acc ->
-          match SMap.find_opt n b.by_name with
-          | Some (ib, _) when ia == ib -> acc
-          | _ -> SSet.add n acc)
-        a.by_name SSet.empty
+    let differs n =
+      match (SMap.find_opt n a.by_name, SMap.find_opt n b.by_name) with
+      | Some (ia, _), Some (ib, _) -> ia != ib
+      | None, None -> false
+      | _ -> true
     in
-    let s =
-      SMap.fold
-        (fun n _ acc -> if SMap.mem n a.by_name then acc else SSet.add n acc)
-        b.by_name s
-    in
-    SSet.elements s
+    List.sort_uniq String.compare (since_common a b) |> List.filter differs
 
 (* --- incremental consistency checking ------------------------------------ *)
 
@@ -389,47 +476,78 @@ let globals t =
   match t.g_cache with
   | Some g -> g
   | None ->
-      let g_naming = C.naming_global t in
       let g =
         {
-          g_naming;
+          g_naming = C.naming_global t;
           g_hierarchy = C.hierarchy t;
           g_extents = C.semantic_global t;
-          g_dups =
-            List.fold_left
-              (fun s (d : Validate.diagnostic) -> SSet.add d.subject s)
-              SSet.empty g_naming;
         }
       in
       t.g_cache <- Some g;
       g
 
-let interface_diags t ~bypass i =
-  let compute () =
-    {
-      d_naming = C.naming_interface i;
-      d_structural = C.structural_interface t i;
-      d_semantic = C.semantic_interface t i;
-    }
+let interface_diags t i =
+  {
+    d_naming = C.naming_interface i;
+    d_structural = C.structural_interface t i;
+    d_semantic = C.semantic_interface t i;
+  }
+
+(* Re-check [name] and bring its cache entry and findings membership up to
+   date.  An unchanged result keeps the old entry, so a version whose
+   re-checks all come out as before shares its parent's cache whole. *)
+let recheck t (cache, findings) name =
+  match SMap.find_opt name t.by_name with
+  | None -> (cache, findings)
+  | Some (i, pos) ->
+      let d = interface_diags t i in
+      let cache =
+        match SMap.find_opt name cache with
+        | Some old when old = d -> cache
+        | _ -> SMap.add name d cache
+      in
+      let clean =
+        d.d_naming = [] && d.d_structural = [] && d.d_semantic = []
+      in
+      ( cache,
+        if clean then IMap.remove pos findings else IMap.add pos name findings
+      )
+
+(* Every warm version without per-interface findings shares this value. *)
+let clean_empty = Clean IMap.empty
+
+(* The per-interface results that are non-empty, in declaration order.  The
+   cache is written back before [check], and [check] is read first: a
+   reader racing a warm-up on a shared published version sees either the
+   old pending names (and re-checks them into an equal state) or the new,
+   complete state. *)
+let interface_findings t =
+  let check = t.check in
+  let cache, findings =
+    match check with
+    | Clean f -> (t.cache, f)
+    | Dirty (f, names) ->
+        SSet.fold (fun n acc -> recheck t acc n) names (t.cache, f)
+    | Cold ->
+        List.fold_left
+          (fun acc i -> recheck t acc i.i_name)
+          (t.cache, IMap.empty) t.sch.s_interfaces
   in
-  if bypass then compute ()
-  else
-    match SMap.find_opt i.i_name t.cache with
-    | Some d -> d
-    | None ->
-        let d = compute () in
-        t.cache <- SMap.add i.i_name d t.cache;
-        d
+  (match check with
+  | Clean _ -> ()
+  | Dirty _ | Cold ->
+      t.cache <- cache;
+      t.check <-
+        (if IMap.is_empty findings then clean_empty else Clean findings));
+  List.map (fun (_, n) -> SMap.find n cache) (IMap.bindings findings)
 
 let diagnostics t =
   let g = globals t in
   let per =
-    List.map
-      (fun i ->
-        (* duplicated names share one cache slot; bypass it so each record
-           is checked individually, exactly as the naive checker does *)
-        interface_diags t ~bypass:(t.has_dups && SSet.mem i.i_name g.g_dups) i)
-      t.sch.s_interfaces
+    (* duplicated names share one cache slot: check each record afresh,
+       exactly as the naive checker does *)
+    if has_dups t then List.map (interface_diags t) t.sch.s_interfaces
+    else interface_findings t
   in
   g.g_naming
   @ List.concat_map (fun d -> d.d_naming) per

@@ -130,8 +130,10 @@ val restore_aliases : t -> Aliases.t -> t
 (** {1 Reports and deliverables} *)
 
 val consistency_report : t -> Odl.Validate.diagnostic list
-(** Equal to [Odl.Validate.check (workspace t)], served incrementally from
-    the index's dirty-set diagnostics cache. *)
+(** Equal to [Odl.Validate.check (workspace t)], served from the index's
+    findings set in O(findings): every session's index version was already
+    checked when it was created, applied or replayed, so nothing is
+    re-checked here. *)
 val consistency_report_text : t -> string
 val mapping : t -> Mapping.t
 val mapping_report : t -> string

@@ -13,8 +13,10 @@
     {!Service_query} in the server): the writer {!refresh}es after each
     committed operation, so a query never recomputes closures or wheels per
     request.  {!refresh} is incremental in the size of the change, not the
-    schema: the dirty seed is {!Core.Schema_index.changed_names} (pointer
-    diff of the persistent index, O(changed entries)), widened to every
+    schema: the dirty seed is {!Core.Schema_index.changed_names} (the
+    names both index versions journalled since their last common version,
+    O(changed · log n) within one build; the O(n) pointer fold only across
+    builds, such as a rename), widened to every
     interface whose materialized row can react — the seed's old and new
     closure neighbourhoods — and only those rows are recomputed.  The
     equivalence [refresh* ≡ build] is the subsystem's correctness

@@ -223,7 +223,204 @@ let cautions_agree =
       in
       go orig_idx steps)
 
-(* 10. seed schemas: the named examples and fixed-size synthetic schemas,
+(* 10. raw index edits, bypassing the engine's validity gate: some add
+   errors (duplicate attributes, dangling references after a removal), some
+   clear them again, one changes nothing, one renames (the rebuild path) *)
+type edit =
+  | Touch of int  (** add a fresh attribute *)
+  | Dup of int  (** duplicate every attribute: naming errors *)
+  | Undup of int  (** drop repeated attribute names again *)
+  | Same of int  (** an update returning the record unchanged *)
+  | Fresh of int  (** add an interface under an existing one *)
+  | Drop of int  (** remove: dangling supertypes and targets *)
+  | Rename of int  (** a rename rebuilds the index *)
+
+(* every edit but the rename, which the lineages below place themselves *)
+let edit_gen =
+  QCheck2.Gen.(
+    let* k = int_bound 10_000 in
+    oneofl [ Touch k; Dup k; Undup k; Same k; Fresh k; Drop k ])
+
+let apply_edit idx e =
+  match Index.interface_names idx with
+  | [] -> idx
+  | names -> (
+      let pick k = List.nth names (k mod List.length names) in
+      let update k f = Index.update_interface idx (pick k) f in
+      match e with
+      | Touch k ->
+          update k (fun i ->
+              let a =
+                {
+                  attr_name = Printf.sprintf "t%d" k;
+                  attr_type = D_int;
+                  attr_size = None;
+                }
+              in
+              { i with i_attrs = i.i_attrs @ [ a ] })
+      | Dup k -> update k (fun i -> { i with i_attrs = i.i_attrs @ i.i_attrs })
+      | Undup k ->
+          update k (fun i ->
+              let seen = Hashtbl.create 8 in
+              let first a =
+                (not (Hashtbl.mem seen a.attr_name))
+                && (Hashtbl.add seen a.attr_name (); true)
+              in
+              { i with i_attrs = List.filter first i.i_attrs })
+      | Same k -> update k Fun.id
+      | Fresh k ->
+          let name = Printf.sprintf "Fresh%d" k in
+          if Index.mem_interface idx name then idx
+          else
+            Index.add_interface idx
+              { (empty_interface name) with i_supertypes = [ pick k ] }
+      | Drop k -> Index.remove_interface idx (pick k)
+      | Rename k -> update k (fun i -> { i with i_name = i.i_name ^ "_r" }))
+
+(* [idx] and each version the edits derive from it, oldest first *)
+let apply_edits idx edits =
+  List.fold_left (fun acc e -> apply_edit (List.hd acc) e :: acc) [ idx ] edits
+  |> List.rev
+
+(* The oracle: [changed_names] by brute force, every name whose record is
+   not physically shared between the two versions. *)
+let changed_by_fold a b =
+  let record v n = Index.find_interface v n in
+  Index.interface_names a @ Index.interface_names b
+  |> List.sort_uniq String.compare
+  |> List.filter (fun n ->
+         match (record a n, record b n) with
+         | Some ia, Some ib -> ia != ib
+         | None, None -> false
+         | _ -> true)
+
+(* Versions of one lineage: the accepted steps of an engine workload, then
+   raw edits on a trunk, and a sibling branch forked from a trunk version
+   that ends in a rename; plus two separate builds of the same schemas. *)
+let lineage_gen =
+  QCheck2.Gen.(
+    let* schema, steps = Gen.schema_and_ops in
+    let* trunk = list_size (int_range 1 6) edit_gen in
+    let* branch = list_size (int_range 0 4) edit_gen in
+    let* at = int_bound 10_000 in
+    let* rename = int_bound 10_000 in
+    return (schema, steps, trunk, branch, at, rename))
+
+let lineage_versions (schema, steps, trunk, branch, at, rename) =
+  let orig = Index.build schema in
+  let engine =
+    List.fold_left
+      (fun acc (kind, op) ->
+        match Apply.Indexed.apply ~original:orig ~kind (List.hd acc) op with
+        | Ok (idx, _) -> idx :: acc
+        | Error _ -> acc)
+      [ orig ] steps
+    |> List.rev
+  in
+  let trunk = apply_edits (List.nth engine (List.length engine - 1)) trunk in
+  let trunk = engine @ List.tl trunk in
+  let fork = List.nth trunk (at mod List.length trunk) in
+  let branch = List.tl (apply_edits fork (branch @ [ Rename rename ])) in
+  let last = List.nth trunk (List.length trunk - 1) in
+  trunk @ branch @ [ Index.build schema; Index.build (Index.schema last) ]
+
+let changed_names_agree =
+  prop "changed_names = pointer fold over version pairs" lineage_gen
+    (fun case ->
+      let versions = lineage_versions case in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              List.equal String.equal (Index.changed_names a b)
+                (changed_by_fold a b))
+            versions)
+        versions)
+
+(* 11. the findings set: after chains of raw edits, under every order in
+   which versions get checked — each parent warmed before its child is
+   derived, no parent ever warmed (cold all the way), and a warm root whose
+   descendants are checked newest first (every parent warmed only after its
+   child was derived) — diagnostics and errors equal the naive checker's,
+   in the same order, and stay equal when served again *)
+let findings_agree_naive idx =
+  let check = Validate.check (Index.schema idx) in
+  (* [Validate.errors] is this filter of [Validate.check] *)
+  let errors =
+    List.filter (fun (d : Validate.diagnostic) -> d.severity = Error) check
+  in
+  let agree () =
+    diags_equal (Index.diagnostics idx) check
+    && diags_equal (Index.errors idx) errors
+    && Index.is_valid idx = (errors = [])
+  in
+  agree () && agree ()
+
+let findings_agree =
+  let gen =
+    QCheck2.Gen.(
+      pair Gen.any_synth_schema
+        (list_size (int_range 1 5) edit_gen))
+  in
+  prop "findings set = naive checker over raw edit chains" gen
+    (fun (schema, edits) ->
+      let warm_parents =
+        List.fold_left
+          (fun acc e ->
+            let parent = List.hd acc in
+            ignore (Index.diagnostics parent);
+            apply_edit parent e :: acc)
+          [ Index.build schema ] edits
+      in
+      let cold = apply_edits (Index.build schema) edits in
+      let late =
+        let root = Index.build schema in
+        ignore (Index.diagnostics root);
+        List.rev (apply_edits root edits)
+      in
+      List.for_all findings_agree_naive (List.rev warm_parents)
+      && List.for_all findings_agree_naive (List.rev cold)
+      && List.for_all findings_agree_naive late)
+
+(* 12. two threads serve the first diagnostics of one freshly derived
+   version — the published-snapshot read path shares versions between
+   lock-free readers — and both get the naive answer *)
+let concurrent_diagnostics =
+  Alcotest.test_case "two threads warm one derived version" `Quick (fun () ->
+      let schema =
+        Schemas.Synth.generate (Schemas.Synth.default_params ~n_types:300)
+      in
+      let root = Index.build schema in
+      ignore (Index.diagnostics root);
+      List.iter
+        (fun k ->
+          (* a cold version (full walk) and a dirty one (re-check) *)
+          let edits = [ Dup k; Drop (k + 1); Touch k ] in
+          List.iter
+            (fun idx ->
+              let expected = Validate.check (Index.schema idx) in
+              let results = Array.make 2 [] in
+              let threads =
+                List.init 2 (fun j ->
+                    Thread.create
+                      (fun () -> results.(j) <- Index.diagnostics idx)
+                      ())
+              in
+              List.iter Thread.join threads;
+              Array.iter
+                (fun r ->
+                  Alcotest.(check bool) "thread agrees" true
+                    (diags_equal r expected))
+                results;
+              Alcotest.(check bool) "served again" true
+                (diags_equal (Index.diagnostics idx) expected))
+            [
+              List.nth (apply_edits (Index.build schema) edits) 3;
+              List.nth (apply_edits root edits) 3;
+            ])
+        (List.init 20 (fun k -> k * 13)))
+
+(* 13. seed schemas: the named examples and fixed-size synthetic schemas,
    checked deterministically *)
 let seed_case name schema =
   Alcotest.test_case name `Quick (fun () ->
@@ -259,5 +456,8 @@ let tests =
     find_agrees_after_ops;
     find_agrees_with_duplicates;
     cautions_agree;
+    changed_names_agree;
+    findings_agree;
+    concurrent_diagnostics;
   ]
   @ seed_units
