@@ -8,26 +8,37 @@
    the whole view per request ({!Query.Eval.run_fresh}) — a cost
    proportional to the schema, paid on every query.
 
-   Setup: one synthetic schema (default 1000 interfaces, the paper-scale
-   stress point), 200 committed ops each followed by an incremental
-   refresh (the write path's cost, reported separately), then a battery
-   of representative queries — point and glob name lookups, attribute
-   search with inheritance, ISA and part-of closures, a wagon wheel —
-   evaluated both ways over identical state.  ([diff] is absent: history
-   slices only exist on a maintained view — a from-scratch rebuild has no
-   stamps to slice, which is its own argument for the views.)
+   Setup: synthetic schemas of 100, 1000 and 10000 interfaces.  On each,
+   200 committed ops, each followed by the incremental refresh the
+   service's write path performs (the write path's cost, reported
+   separately).  Then, on the 1000-interface one (the paper-scale stress
+   point), a battery of representative queries — point and glob name
+   lookups, attribute search with inheritance, ISA and part-of closures,
+   a wagon wheel — evaluated both ways over identical state.  ([diff] is
+   absent: history slices only exist on a maintained view — a
+   from-scratch rebuild has no stamps to slice, which is its own argument
+   for the views.)
 
    Reported: per-op maintain cost, per-query latency for both paths, and
    the aggregate speedup = naive / materialized.  The run FAILS (exit 1)
    below 5x: at that point the views would not be paying for their
    maintenance.
 
+   The maintain cost is reported for two kinds of write: attribute edits, which leave every ISA and
+   relationship edge alone (the refresh rewrites one row's attribute
+   names), and edge edits — a relationship added and then deleted, issued
+   from the wagon wheel, which admits both — whose refresh rebuilds every
+   row the two ends reach.  The run also FAILS unless the attribute-edit
+   cost at n=1000 is at most a quarter of the edge-edit cost: a return to
+   rebuilding the edited row's neighbourhood on a members-only write
+   breaks it.
+
    Both paths produce answers over the same view/session, and the bench
    asserts they are line-identical before timing anything — a speedup
    over wrong answers would be worthless.
 
-   Knobs: SWSD_QUERY_TYPES (schema size, default 1000),
-   SWSD_QUERY_OPS (committed ops, default 200),
+   Knobs: SWSD_QUERY_TYPES (battery schema size, default 1000; it joins
+   the sweep), SWSD_QUERY_OPS (ops per write kind, default 200),
    SWSD_QUERY_ROUNDS (battery repetitions per path, default 20). *)
 
 module View = Query.View
@@ -82,39 +93,87 @@ let lines_of = function
 
 type timing = { query : string; mat_us : float; naive_us : float }
 
-let run ~json_path () =
-  let types = n_types () and ops = n_ops () and reps = rounds () in
-  Printf.printf "P17: materialized query views, %d interfaces, %d ops\n" types
-    ops;
-  let schema = Schemas.Synth.(generate (default_params ~n_types:types)) in
-  let session = ref (session_of schema) in
-  let view = ref (View.build ~stamp:1 !session) in
-  (* the write path: each committed op refreshes the view from its dirty
-     neighbourhood; this is the price of keeping queries cheap *)
-  let maintain_total = ref 0.0 in
-  let stamp = ref 1 in
-  for k = 1 to ops do
-    let target = (k * 7919) mod types in
-    !session
-    |> Fun.flip apply
-         (Printf.sprintf "add_attribute(T%d, string, 8, bench_%d)" target k)
-    |> fun s ->
-    session := s;
-    incr stamp;
+(* Per-op refresh cost of one write kind, µs. *)
+type maintain = { m_mean : float; m_median : float }
+
+type cell = { n : int; attr : maintain; edge : maintain }
+
+let attr_share_bound = 0.25
+let sweep () = List.sort_uniq compare [ 100; 1000; 10000; n_types () ]
+
+(* Commit each op text in turn and time only the view refresh after it. *)
+let maintain_stream (session, view) texts =
+  let step (session, view, samples) text =
+    let session = apply session text in
+    let stamp = View.stamp view + 1 in
     let t0 = Unix.gettimeofday () in
-    view := View.refresh !view ~stamp:!stamp !session;
-    maintain_total := !maintain_total +. (Unix.gettimeofday () -. t0)
-  done;
-  let maintain_us = !maintain_total /. float_of_int ops *. 1e6 in
-  Printf.printf "  maintain: %.1f us/op over %d ops (%d refreshes)\n"
-    maintain_us ops
-    (View.refresh_count !view);
+    let view = View.refresh view ~stamp session in
+    (session, view, ((Unix.gettimeofday () -. t0) *. 1e6) :: samples)
+  in
+  let session, view, xs = List.fold_left step (session, view, []) texts in
+  ( (session, view),
+    {
+      m_mean = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs);
+      m_median = Perf.quantile 0.5 xs;
+    } )
+
+(* One sweep cell: [ops] attribute adds spread over the schema, then
+   [ops / 2] relationship add/delete pairs between two of its interfaces.
+   Returns the final session and view with the costs. *)
+let measure_cell ~ops n =
+  let session = session_of Schemas.Synth.(generate (default_params ~n_types:n)) in
+  let state, attr =
+    maintain_stream
+      (session, View.build ~stamp:1 session)
+      (List.init ops (fun k ->
+           Printf.sprintf "add_attribute(T%d, string, 8, bench_%d)"
+             (k * 7919 mod n) k))
+  in
+  let pair k =
+    let a = k * 7919 mod n in
+    let b = (a + 1 + (k * 104729 mod (n - 1))) mod n in
+    [
+      Printf.sprintf "add_relationship(T%d, T%d, bench_r%d, bench_i%d)" a b k k;
+      Printf.sprintf "delete_relationship(T%d, bench_r%d)" a k;
+    ]
+  in
+  let state, edge =
+    maintain_stream state (List.concat (List.init (max 1 (ops / 2)) pair))
+  in
+  (state, { n; attr; edge })
+
+let run ~json_path () =
+  let ops = n_ops () and reps = rounds () and types = n_types () in
+  Printf.printf "P17: materialized query views, %d ops per write kind\n" ops;
+  Printf.printf "  %-8s %24s %24s\n" "n" "attr edit us/op (p50)"
+    "edge edit us/op (p50)";
+  let battery_state = ref None in
+  let cells =
+    List.map
+      (fun n ->
+        let state, c = measure_cell ~ops n in
+        if n = types then battery_state := Some state;
+        Printf.printf "  %-8d %15.1f (%6.1f) %15.1f (%6.1f)\n%!" n
+          c.attr.m_mean c.attr.m_median c.edge.m_mean c.edge.m_median;
+        c)
+      (sweep ())
+  in
+  let at n = List.find (fun c -> c.n = n) cells in
+  let share = (at 1000).attr.m_median /. (at 1000).edge.m_median in
+  let share_passed = share <= attr_share_bound in
+  Printf.printf
+    "  attribute / edge edit maintain at n=1000: %.3f on medians (bound \
+     %.2f)\n"
+    share attr_share_bound;
+  let session, view = Option.get !battery_state in
+  let stamp = View.stamp view in
+  Printf.printf "  battery on %d interfaces\n" types;
   (* both paths must answer identically before any timing matters *)
   List.iter
     (fun q ->
       let a = atom q in
-      let mat = lines_of (Eval.run !view a)
-      and fresh = lines_of (Eval.run_fresh ~stamp:!stamp !session a) in
+      let mat = lines_of (Eval.run view a)
+      and fresh = lines_of (Eval.run_fresh ~stamp session a) in
       if mat <> fresh then
         failwith (Printf.sprintf "%s: materialized and fresh answers differ" q))
     battery;
@@ -131,10 +190,8 @@ let run ~json_path () =
     List.map
       (fun q ->
         let a = atom q in
-        let mat_us = time_one (fun () -> Eval.run !view a) in
-        let naive_us =
-          time_one (fun () -> Eval.run_fresh ~stamp:!stamp !session a)
-        in
+        let mat_us = time_one (fun () -> Eval.run view a) in
+        let naive_us = time_one (fun () -> Eval.run_fresh ~stamp session a) in
         Printf.printf "  %-22s %14.1f %14.1f %8.1fx\n%!" q mat_us naive_us
           (if mat_us > 0.0 then naive_us /. mat_us else 0.0);
         { query = q; mat_us; naive_us })
@@ -152,18 +209,34 @@ let run ~json_path () =
       "    { \"query\": %S, \"materialized_us\": %.2f, \"naive_us\": %.2f }"
       t.query t.mat_us t.naive_us
   in
+  let maintain m =
+    Printf.sprintf "{ \"mean\": %.2f, \"median\": %.2f }" m.m_mean m.m_median
+  in
+  let cell c =
+    Printf.sprintf "    { \"n\": %d, \"attr_edit_us\": %s, \"edge_edit_us\": %s }"
+      c.n (maintain c.attr) (maintain c.edge)
+  in
   let json =
     String.concat "\n"
       [
         "{";
         "  \"benchmark\": \"P17 incrementally maintained query views\",";
-        "  \"setup\": \"synthetic schema; per-op incremental refresh, then \
-         a query battery evaluated on the materialized view vs a \
-         from-scratch rebuild per request\",";
+        "  \"setup\": \"synthetic schemas; per-op incremental refresh after \
+         attribute edits and after relationship add/delete pairs, then a \
+         query battery evaluated on the materialized view vs a from-scratch \
+         rebuild per request\",";
         Printf.sprintf "  \"n_types\": %d," types;
         Printf.sprintf "  \"ops\": %d," ops;
         Printf.sprintf "  \"rounds\": %d," reps;
-        Printf.sprintf "  \"maintain_us_per_op\": %.2f," maintain_us;
+        Printf.sprintf "  \"maintain_us_per_op\": %.2f,"
+          (at types).attr.m_mean;
+        "  \"maintain\": [";
+        String.concat ",\n" (List.map cell cells);
+        "  ],";
+        Printf.sprintf
+          "  \"attr_share_gate\": { \"attr_over_edge_at_1000\": %.3f, \
+           \"on\": \"medians\", \"bound\": %.2f, \"passed\": %b },"
+          share attr_share_bound share_passed;
         Printf.sprintf "  \"battery_materialized_us\": %.2f," mat_total;
         Printf.sprintf "  \"battery_naive_us\": %.2f," naive_total;
         Printf.sprintf
@@ -181,10 +254,15 @@ let run ~json_path () =
   output_string oc json;
   close_out oc;
   Printf.printf "wrote %s\n" json_path;
-  if not passed then begin
+  if not passed then
     Printf.printf
       "FAIL: battery speedup %.2fx is below the 5x floor — the views are \
        not paying for their maintenance\n"
       speedup;
-    exit 1
-  end
+  if not share_passed then
+    Printf.printf
+      "FAIL: an attribute edit's refresh costs %.2f of an edge edit's at \
+       n=1000 (bound %.2f) — members-only writes rebuild rows they cannot \
+       change\n"
+      share attr_share_bound;
+  if not (passed && share_passed) then exit 1

@@ -176,6 +176,7 @@ let build sch =
 
 let schema t = t.sch
 let find_interface t n = Option.map fst (SMap.find_opt n t.by_name)
+let find_positioned t n = SMap.find_opt n t.by_name
 let mem_interface t n = SMap.mem n t.by_name
 
 let get_interface t n =

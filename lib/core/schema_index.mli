@@ -35,6 +35,12 @@ include Schema_view.S with type t := t
     interface, or editing a supertype, relationship or extent, re-runs the
     global checks in O(n). *)
 
+val find_positioned : t -> Odl.Types.type_name -> (Odl.Types.interface * int) option
+(** The interface record and its declaration position, in one O(log n)
+    lookup.  Positions order the interfaces as {!interface_names} does.
+    Within one {!build}, an update keeps its name's position, and a removed
+    and re-added name takes a fresh one after every other. *)
+
 val is_valid : t -> bool
 (** No error-level diagnostics (cache-served where possible). *)
 

@@ -12,6 +12,7 @@ val odl_keywords : string list
 (** Keywords of the extended ODL concrete syntax. *)
 
 val is_keyword : string -> bool
+(** Membership in {!odl_keywords}, in constant time. *)
 
 val needs_quoting : string -> bool
 (** Whether the name must be quoted to survive a print/parse round trip. *)

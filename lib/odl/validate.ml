@@ -318,8 +318,12 @@ module Checks (L : LOOKUP) = struct
       | Some n -> L.mem_interface t n
     in
     let sub s = i.i_name ^ "." ^ s in
-    let visible = L.visible_attrs t i.i_name in
-    let visible_attr n = List.exists (fun a -> String.equal a.attr_name n) visible in
+    (* the ISA closures are computed at most once, and only when a key,
+       operation or attribute needs them *)
+    let visible = lazy (L.visible_attrs t i.i_name) in
+    let visible_attr n =
+      List.exists (fun a -> String.equal a.attr_name n) (Lazy.force visible)
+    in
     let key_checks =
       i.i_keys
       |> List.concat_map (fun key ->
@@ -367,30 +371,34 @@ module Checks (L : LOOKUP) = struct
     let order_by_checks =
       i.i_rels
       |> List.concat_map (fun r ->
-             match L.find_interface t r.rel_target with
-             | None -> []  (* already a structural error *)
-             | Some _ ->
-                 let target_attrs = L.visible_attrs t r.rel_target in
-                 r.rel_order_by
-                 |> List.filter_map (fun a ->
-                        if
-                          List.exists
-                            (fun ta -> String.equal ta.attr_name a)
-                            target_attrs
-                        then None
-                        else
-                          Some
-                            (err Semantic (sub r.rel_name)
-                               (Printf.sprintf
-                                  "order_by attribute %s is not visible on %s"
-                                  a r.rel_target))))
+             match r.rel_order_by with
+             | [] -> []  (* nothing to look up on the target *)
+             | order_by -> (
+                 match L.find_interface t r.rel_target with
+                 | None -> []  (* already a structural error *)
+                 | Some _ ->
+                     let target_attrs = L.visible_attrs t r.rel_target in
+                     order_by
+                     |> List.filter_map (fun a ->
+                            if
+                              List.exists
+                                (fun ta -> String.equal ta.attr_name a)
+                                target_attrs
+                            then None
+                            else
+                              Some
+                                (err Semantic (sub r.rel_name)
+                                   (Printf.sprintf
+                                      "order_by attribute %s is not visible \
+                                       on %s"
+                                      a r.rel_target)))))
     in
+    let supers = lazy (L.ancestors t i.i_name) in
     let override_checks =
       (* a redefinition with a different signature is legal but suspicious *)
-      let supers = L.ancestors t i.i_name in
       i.i_ops
       |> List.concat_map (fun o ->
-             supers
+             Lazy.force supers
              |> List.filter_map (fun s ->
                     match L.find_interface t s with
                     | None -> None
@@ -409,10 +417,9 @@ module Checks (L : LOOKUP) = struct
                         | _ -> None)))
     in
     let shadow_checks =
-      let supers = L.ancestors t i.i_name in
       i.i_attrs
       |> List.concat_map (fun a ->
-             supers
+             Lazy.force supers
              |> List.filter_map (fun s ->
                     match L.find_interface t s with
                     | None -> None

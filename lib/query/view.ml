@@ -16,9 +16,17 @@
     schema: the dirty seed is {!Core.Schema_index.changed_names} (the
     names both index versions journalled since their last common version,
     O(changed · log n) within one build; the O(n) pointer fold only across
-    builds, such as a rename), widened to every
-    interface whose materialized row can react — the seed's old and new
-    closure neighbourhoods — and only those rows are recomputed.  The
+    builds, such as a rename), split in two kinds.  A {e light} seed exists
+    in both versions at the same declaration position with equal
+    supertypes and relationships — an attribute, operation, key or extent
+    edit: it keeps its old row's closures and wheel (physically), and only
+    its attribute names and their index entries change.  A {e structural}
+    seed is widened to every interface whose materialized row can react —
+    the seed's old and new closure neighbourhoods — and only those rows are
+    recomputed; a light seed inside that set is recomputed with them.  The
+    position matters because it orders subtypes and incoming edges in the
+    wheels that mention the interface: a name deleted and re-added with the
+    same edges moves to the end, so it is structural.  The
     equivalence [refresh* ≡ build] is the subsystem's correctness
     foundation, differentially tested by property (500+ generated op
     sequences) exactly like the PR 1 index-vs-naive checker. *)
@@ -245,15 +253,28 @@ let build ?lineage ~stamp (session : Core.Session.t) =
     v_lineage = lineage;
   }
 
+(* A seed that exists in both versions at one declaration position with
+   equal supertypes and relationships.  Every closure and wheel is a
+   function of the edges, of which names exist, and of the positions that
+   order subtypes and incoming edges; such a seed changed none of them, so
+   only its own attribute names can differ. *)
+let keeps_edges v idx name =
+  match (Si.find_positioned v.v_index name, Si.find_positioned idx name) with
+  | Some (o, po), Some (n, pn) ->
+      po = pn && o.i_supertypes = n.i_supertypes && o.i_rels = n.i_rels
+  | _ -> false
+
 let refresh v ~stamp (session : Core.Session.t) =
   let idx = Core.Session.index session in
   let new_steps = Core.Session.steps_rev session in
   let new_n = Core.Session.step_count session in
-  let seeds = Si.changed_names v.v_index idx in
-  (* widen each seed to every row its change can reach: the row itself,
-     everything its *old* materialized row mentioned, and everything its
-     *new* neighbourhood mentions (closures and wheel recomputed fresh on
-     the new index) — then rebuild exactly those rows *)
+  let light, structural =
+    List.partition (keeps_edges v idx) (Si.changed_names v.v_index idx)
+  in
+  (* widen each structural seed to every row its change can reach: the row
+     itself, everything its *old* materialized row mentioned, and
+     everything its *new* neighbourhood mentions (closures and wheel
+     recomputed fresh on the new index) — then rebuild exactly those rows *)
   let recompute =
     List.fold_left
       (fun acc name ->
@@ -266,7 +287,7 @@ let refresh v ~stamp (session : Core.Session.t) =
         if Si.mem_interface idx name then
           SSet.union (entry_neighbourhood (compute_entry idx name)) acc
         else acc)
-      SSet.empty seeds
+      SSet.empty structural
   in
   let entries, attrs =
     SSet.fold
@@ -281,6 +302,22 @@ let refresh v ~stamp (session : Core.Session.t) =
           (SMap.add name e entries, index_attrs name e attrs)
         else (SMap.remove name entries, attrs))
       recompute (v.v_entries, v.v_attrs)
+  in
+  (* a light seed no structural seed reached keeps its old row but for
+     the attribute names *)
+  let entries, attrs =
+    List.fold_left
+      (fun ((entries, attrs) as acc) name ->
+        let old = SMap.find name v.v_entries in
+        let e_attrs =
+          List.map (fun a -> a.attr_name) (Si.get_interface idx name).i_attrs
+        in
+        if SSet.mem name recompute || e_attrs = old.e_attrs then acc
+        else
+          let e = { old with e_attrs } in
+          ( SMap.add name e entries,
+            index_attrs name e (deindex_attrs name old attrs) ))
+      (entries, attrs) light
   in
   let popped, added =
     spine_delta ~old_steps:v.v_steps ~old_n:v.v_nsteps ~new_steps ~new_n

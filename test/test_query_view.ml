@@ -265,50 +265,208 @@ let update_is_monotone () =
 
 (* --- the differential property --------------------------------------------- *)
 
+let apply_act (kind, op) session =
+  match Core.Session.apply session ~kind op with
+  | Ok (s, _) -> Some s
+  | Error _ -> None
+
+let build_equal stamp session v =
+  View.equal_logical v (View.build ~stamp session)
+
 (* Incremental refresh after every accepted op (and undo/redo) produces
    exactly the rows and attribute index of a from-scratch build.  This is
    the property the whole subsystem leans on: it exercises
    Schema_index.changed_names (the pointer-diff dirty seed) and the
    neighbourhood widening in View.refresh against arbitrary generated
-   schemas and workloads. *)
+   schemas and workloads.  A second view refreshes only after every k-th
+   step, k ∈ 1..4 — a lagging view, or a writer that lost the publication
+   race — so one refresh spans several ops and its seeds mix names that
+   different ops touched. *)
 let incremental_equals_scratch =
-  prop "incremental view refresh = from-scratch build" Gen.schema_and_ops
-    (fun (schema, steps) ->
+  let gen = QCheck2.Gen.pair (QCheck2.Gen.int_range 1 4) Gen.schema_and_ops in
+  prop "incremental view refresh = from-scratch build" gen
+    (fun (k, (schema, steps)) ->
       match Core.Session.create schema with
       | Error _ -> QCheck2.assume_fail () (* synth schemas are valid *)
       | Ok session ->
-          let check stamp session v =
-            View.equal_logical v (View.build ~stamp session)
-          in
-          let step (session, v, stamp, ok) act =
-            if not ok then (session, v, stamp, false)
+          let step ((session, v, lag, pending, ok) as acc) act =
+            if not ok then acc
             else
               match act session with
-              | None -> (session, v, stamp, ok)
+              | None -> acc
               | Some session ->
-                  let stamp = stamp + 1 in
+                  let stamp = View.stamp v + 1 in
+                  let built = View.build ~stamp session in
                   let v = View.refresh v ~stamp session in
-                  (session, v, stamp, check stamp session v)
+                  let lag, pending =
+                    if pending + 1 < k then (lag, pending + 1)
+                    else (View.refresh lag ~stamp session, 0)
+                  in
+                  ( session,
+                    v,
+                    lag,
+                    pending,
+                    View.equal_logical v built
+                    && (pending > 0 || View.equal_logical lag built) )
           in
           let acts =
-            List.map
-              (fun (kind, op) session ->
-                match Core.Session.apply session ~kind op with
-                | Ok (s, _) -> Some s
-                | Error _ -> None)
-              steps
+            List.map apply_act steps
             @ [
                 (fun s -> Core.Session.undo s);
                 (fun s -> Core.Session.undo s);
                 (fun s -> Option.map fst (Core.Session.redo s));
               ]
           in
-          let _, _, _, ok =
-            List.fold_left step
-              (session, View.build ~stamp:1 session, 1, true)
-              acts
+          let v = View.build ~stamp:1 session in
+          let session, v, lag, _, ok =
+            List.fold_left step (session, v, v, 0, true) acts
+          in
+          (* the lagging view catches up at the end *)
+          ok
+          && build_equal (View.stamp v) session
+               (View.refresh lag ~stamp:(View.stamp v) session))
+
+(* Ops that edit one interface's members and leave its edges alone. *)
+let member_op schema =
+  let open QCheck2.Gen in
+  let names = Odl.Schema.interface_names schema in
+  let* n = oneofl names in
+  let attrs =
+    match Odl.Schema.find_interface schema n with
+    | Some i -> List.map (fun a -> a.Odl.Types.attr_name) i.i_attrs
+    | None -> []
+  in
+  let pick_attr = if attrs = [] then Gen.ident else oneofl attrs in
+  let open Core.Modop in
+  oneof
+    [
+      map (fun a -> Add_attribute (n, Odl.Types.D_int, None, a)) Gen.ident;
+      map (fun a -> Delete_attribute (n, a)) pick_attr;
+      map (fun a -> Modify_attribute_size (n, a, None, Some 9)) pick_attr;
+      map (fun o -> Add_operation (n, Odl.Types.D_void, o, [], [])) Gen.ident;
+      map (fun a -> Add_key_list (n, [ a ])) pick_attr;
+      map (fun e -> Add_extent_name (n, e)) Gen.ident;
+    ]
+
+(* The reuse claim behind the light refresh: when every name an op changed
+   kept its declaration position, supertypes and relationships, no row but
+   those names' is rebuilt, and their closures and wheels are the old
+   values themselves. *)
+let light_refresh_shares_rows =
+  let gen =
+    QCheck2.Gen.(
+      let* schema = Gen.any_synth_schema in
+      let* ops = list_size (int_range 1 8) (member_op schema) in
+      return (schema, ops))
+  in
+  prop "members-only refresh shares every untouched row" gen
+    (fun (schema, ops) ->
+      match Core.Session.create schema with
+      | Error _ -> QCheck2.assume_fail ()
+      | Ok session ->
+          let module Si = Core.Schema_index in
+          let keeps_edges old_idx idx name =
+            match
+              (Si.find_positioned old_idx name, Si.find_positioned idx name)
+            with
+            | Some (o, po), Some (n, pn) ->
+                po = pn
+                && o.Odl.Types.i_supertypes = n.Odl.Types.i_supertypes
+                && o.i_rels = n.i_rels
+            | _ -> false
+          in
+          let shared old_v v changed =
+            View.SMap.for_all
+              (fun name (e : View.entry) ->
+                match View.find_entry old_v name with
+                | None -> false
+                | Some o when List.mem name changed ->
+                    o.e_anc == e.e_anc && o.e_desc == e.e_desc
+                    && o.e_wholes == e.e_wholes && o.e_parts == e.e_parts
+                    && o.e_wheel == e.e_wheel
+                | Some o -> o == e)
+              (View.entries v)
+            && View.interface_count v = View.interface_count old_v
+          in
+          let _, _, ok =
+            List.fold_left
+              (fun ((session, v, ok) as acc) op ->
+                if not ok then acc
+                else
+                  match apply_act (Core.Concept.Wagon_wheel, op) session with
+                  | None -> acc
+                  | Some session' ->
+                      let old_idx = Core.Session.index session
+                      and idx = Core.Session.index session' in
+                      let changed = Si.changed_names old_idx idx in
+                      let stamp = View.stamp v + 1 in
+                      let v' = View.refresh v ~stamp session' in
+                      let light = List.for_all (keeps_edges old_idx idx) changed in
+                      ( session',
+                        v',
+                        build_equal stamp session' v'
+                        && ((not light) || shared v v' changed) ))
+              (session, View.build ~stamp:1 session, true)
+              ops
           in
           ok)
+
+(* An interface deleted and re-added with identical edges inside one
+   refresh keeps its name and its edges but moves to the end of the
+   declaration order.  The hub it points at has identical relationships
+   before and after (its inverse end was, and is again, its last one), yet
+   its wheel lists incoming edges in owner order, which the move changed:
+   only the re-added name's position tells the refresh to rebuild it. *)
+let refresh_after_delete_and_readd () =
+  let s, _ = university_view () in
+  let s =
+    List.fold_left
+      (fun s op -> fst (Util.apply_ok s op))
+      s
+      [ "add_type_definition(Hub)"; "add_type_definition(Xa)";
+        "add_type_definition(Qb)"; "add_relationship(Qb, Hub, hub_q, qs)";
+        "add_relationship(Xa, Hub, hub_x, xs)" ]
+  in
+  let v = View.build ~stamp:1 s in
+  let s' =
+    List.fold_left
+      (fun s op -> fst (Util.apply_ok s op))
+      s
+      [ "delete_type_definition(Xa)"; "add_type_definition(Xa)";
+        "add_relationship(Xa, Hub, hub_x, xs)" ]
+  in
+  let built = View.build ~stamp:2 s' in
+  let module Si = Core.Schema_index in
+  let hub s = Si.get_interface (Core.Session.index s) "Hub" in
+  if (hub s).i_rels <> (hub s').i_rels then
+    Alcotest.fail "the hub's relationships should be the same again";
+  let wheel v = (Option.get (View.find_entry v "Hub")).e_wheel in
+  if Core.Concept.equal (wheel v) (wheel built) then
+    Alcotest.fail "the move should reorder the hub's wheel";
+  if not (View.equal_logical (View.refresh v ~stamp:2 s') built) then
+    Alcotest.fail "refresh across delete and re-add should equal a build"
+
+(* One refresh spanning a members edit of Doctoral and a new root above
+   Person: Doctoral's own change is light, but Person's new supertype
+   reaches Doctoral's ancestors, so its row must be rebuilt whole. *)
+let refresh_light_seed_in_reach () =
+  let s, v = university_view () in
+  let s =
+    List.fold_left
+      (fun s (kind, op) -> fst (Util.apply_ok ~kind s op))
+      s
+      Core.Concept.
+        [ (Wagon_wheel, "add_attribute(Doctoral, int, none, badge)");
+          (Generalization, "add_type_definition(Top)");
+          (Generalization, "add_supertype(Person, Top)") ]
+  in
+  let v = View.refresh v ~stamp:2 s in
+  Alcotest.(check (list string))
+    "the new ancestor reaches Doctoral"
+    [ "Graduate"; "Person"; "Student"; "Top" ]
+    (run v "isa Doctoral up");
+  if not (View.equal_logical v (View.build ~stamp:2 s)) then
+    Alcotest.fail "refresh should equal a build"
 
 (* The evaluator's other invariant: every answer except [diff] is sorted
    and duplicate-free, whatever the view holds. *)
@@ -407,7 +565,12 @@ let tests =
     test "view: update is stamp-monotone" update_is_monotone;
     test "eval: fresh build answers = materialized answers"
       fresh_equals_materialized;
+    test "view: delete and re-add inside one refresh = build"
+      refresh_after_delete_and_readd;
+    test "view: a light seed a structural one reaches is rebuilt"
+      refresh_light_seed_in_reach;
     incremental_equals_scratch;
+    light_refresh_shares_rows;
     answers_are_canonical;
     fuzz_never_crashes;
   ]

@@ -160,6 +160,88 @@ let severity_partition () =
     (List.length (check s))
     (List.length (errors s) + List.length (warnings s))
 
+(* --- the per-interface check kernel -----------------------------------------
+   The order_by and keyword checks skip work when nothing can fire: these
+   pin their exact output, in order, on the naive checker and on the
+   indexed one (fresh, and re-checked after an update that dirties the
+   owner). *)
+
+let lines ds = List.map (Fmt.str "%a" pp_diagnostic_line) ds
+
+let kernel_agrees name schema expected =
+  Alcotest.(check (list string)) (name ^ ": naive") expected
+    (lines (check schema));
+  let module Index = Core.Schema_index in
+  let idx = Index.build schema in
+  Alcotest.(check (list string)) (name ^ ": indexed") expected
+    (lines (Index.diagnostics idx));
+  (* warm, then touch every interface: each re-check runs the kernel *)
+  let touched =
+    List.fold_left
+      (fun idx n ->
+        Index.update_interface idx n (fun i -> { i with i_ops = i.i_ops }))
+      idx (Index.interface_names idx)
+  in
+  Alcotest.(check (list string)) (name ^ ": re-checked") expected
+    (lines (Index.diagnostics touched))
+
+let order_by_kernel () =
+  kernel_agrees "order_by"
+    (Util.parse
+       {|interface Base { attribute int x; };
+         interface B : Base { attribute int y; relationship A s inverse A::r; };
+         interface A {
+           attribute int z;
+           relationship set<B> r inverse B::s order_by (z, x, y, w);
+           relationship set<Ghost> g inverse Ghost::h order_by (z);
+           relationship set<B> plain inverse B::t;
+         };|})
+    [
+      "error [structural] A.g: unknown target type Ghost";
+      "error [structural] A.plain: inverse B::t does not exist";
+      "error [semantic] A.r: order_by attribute z is not visible on B";
+      "error [semantic] A.r: order_by attribute w is not visible on B";
+    ]
+
+let near_misses = [ "Set"; "sets"; "interfaces"; "int_"; "Schema"; "voids" ]
+
+let keyword_kernel () =
+  Alcotest.(check int) "22 keywords" 22 (List.length Odl.Names.odl_keywords);
+  (* the lookup agrees with the list on each keyword, each of its proper
+     prefixes and its capitalised form, and on the near misses *)
+  let candidates =
+    near_misses
+    @ List.concat_map
+        (fun k ->
+          String.capitalize_ascii k
+          :: List.init (String.length k + 1) (fun n -> String.sub k 0 n))
+        Odl.Names.odl_keywords
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "is_keyword %S" s)
+        (List.mem s Odl.Names.odl_keywords)
+        (Odl.Names.is_keyword s))
+    candidates;
+  let attr n = { Odl.Types.attr_name = n; attr_type = D_int; attr_size = None } in
+  let k =
+    {
+      Odl.Types.i_name = "K";
+      i_supertypes = [];
+      i_extent = None;
+      i_keys = [];
+      i_attrs = List.map attr (Odl.Names.odl_keywords @ near_misses);
+      i_rels = [];
+      i_ops = [];
+    }
+  in
+  kernel_agrees "keywords"
+    { Odl.Types.s_name = "keywords"; s_interfaces = [ k ] }
+    (List.map
+       (fun kw ->
+         Printf.sprintf "error [naming] K.%s: identifier is an ODL keyword" kw)
+       Odl.Names.odl_keywords)
+
 let tests =
   [
     test "bundled examples are valid" examples_valid;
@@ -187,4 +269,6 @@ let tests =
     test "duplicate extent" duplicate_extent;
     test "self relationship is valid" self_relationship_valid;
     test "severity partition" severity_partition;
+    test "kernel: order_by targets, visible or dangling" order_by_kernel;
+    test "kernel: each ODL keyword as an attribute name" keyword_kernel;
   ]
